@@ -76,9 +76,6 @@ func (l *Lift) Dims() int { return 2*l.n - 2 }
 // Depths returns the lifted per-dimension depths.
 func (l *Lift) Depths() []uint8 { return l.depths }
 
-// BaseDims returns the base dimensionality n.
-func (l *Lift) BaseDims() int { return l.n }
-
 // Box lifts a base box into the 2n-2 dimensional space.
 func (l *Lift) Box(b dyadic.Box) dyadic.Box {
 	if len(b) != l.n {

@@ -158,7 +158,7 @@ func Suite() []Case {
 	// Incremental maintenance series: per-iteration cost of a 1-tuple
 	// Append followed by Execute on the Table 1 acyclic workhorse. The
 	// patched entry serves the query from a maintained statement (delta
-	// passes over the prior result, O(k) index layers); the recompute
+	// passes over the prior result, O(k) net index deltas); the recompute
 	// entry re-runs the query from scratch after every write — the two
 	// ends of the maintained-vs-recompute trade EXPERIMENTS.md tabulates.
 	cases = append(cases,
@@ -416,7 +416,7 @@ func maintainedBench(n int, patched bool) func(b *testing.B) Metrics {
 				b.Fatal(err)
 			}
 			// Prime one refresh so the unchanged-atom knowledge base and
-			// the first delta layer exist before the timer starts.
+			// the first net delta exist before the timer starts.
 			if _, err := cat.Append("R2", freshTuple()); err != nil {
 				b.Fatal(err)
 			}

@@ -46,21 +46,9 @@ type Options struct {
 	// relation version, in addition to whatever orders queries demand on
 	// the fly. Empty means pure build-on-demand.
 	DefaultSpecs []index.Spec
-	// CompactDepth is the delta-chain depth at which a relation's index
-	// registry is compacted — rebuilt as fresh base indexes — by a
-	// background goroutine, off the write path. 0 means the default
-	// (defaultCompactDepth); negative disables background compaction,
-	// leaving only index.Set.Derive's synchronous depth-cap fallback.
-	CompactDepth int
 }
 
 const defaultPlanCache = 64
-
-// defaultCompactDepth keeps steady-state chains well under the
-// synchronous rebuild cap in index.Set.Derive (16): a trickle of writes
-// triggers background folds long before a write would ever pay for a
-// full rebuild inline.
-const defaultCompactDepth = 8
 
 // Catalog is a concurrency-safe store of named, versioned relations and
 // their index registries, with a prepared-plan cache on top. All stored
@@ -69,7 +57,7 @@ const defaultCompactDepth = 8
 type Catalog struct {
 	opts    Options
 	builds  atomic.Int64  // total index constructions, all registries
-	layered atomic.Int64  // of builds: O(k) delta-layer constructions
+	layered atomic.Int64  // of builds: O(k) net-delta constructions
 	gen     atomic.Uint64 // bumped on every publish; cheap staleness check
 
 	mu    sync.RWMutex
@@ -88,9 +76,9 @@ type Catalog struct {
 	feedback   map[string]map[string]float64
 	replans    atomic.Int64
 
-	// Background delta-chain compaction state (compact.go).
-	compactions   atomic.Int64 // completed registry compactions
-	compactBuilds atomic.Int64 // of builds: full rebuilds done by the compactor
+	// Registry fold state (compact.go).
+	compactions   atomic.Int64 // completed registry folds
+	compactBuilds atomic.Int64 // of builds: flat rebuilds done by folds
 	compactMu     sync.Mutex
 	compacting    map[string]bool // relations with a compaction in flight
 	compactWG     sync.WaitGroup
@@ -220,8 +208,8 @@ func (c *Catalog) IndexSet(name string) *index.Set {
 func (c *Catalog) Generation() uint64 { return c.gen.Load() }
 
 // Append publishes a new version of the named relation with the tuples
-// added, carrying the previous version's index specs forward (each is
-// rebuilt over the new snapshot). Running queries and prepared plans
+// added, carrying the previous version's index specs forward (each as
+// its flat base plus the net delta). Running queries and prepared plans
 // pinned to the old version are unaffected.
 func (c *Catalog) Append(name string, tuples ...relation.Tuple) (uint64, error) {
 	return c.update(name, func(r *relation.Relation) (*relation.Relation, error) {
@@ -240,14 +228,14 @@ func (c *Catalog) Delete(name string, tuples ...relation.Tuple) (uint64, error) 
 // update derives and publishes a new version of a named relation,
 // carrying the maintained index specs onto the new snapshot (a serving
 // catalog keeps the same access paths warm across versions instead of
-// rediscovering them query by query). The carried specs are realized by
-// delta layering (index.Set.Derive): a k-tuple append or delete costs
-// O(k) per spec — a small layer composed over the prior version's
-// immutable build — not a full O(N) rebuild, which is what makes a
-// 1-tuple write to a large relation cheap. Writers race optimistically:
-// the derive-and-build work happens outside the lock, and a writer that
-// loses the publish race simply retries over the new current version,
-// so concurrent appends both land instead of one failing.
+// rediscovering them query by query). The carried specs are realized in
+// the one delta shape (index.Set.Derive): each keeps its flat base and
+// composes the write into its net delta, O(k) per spec for a k-tuple
+// write — not a full O(N) rebuild, which is what makes a 1-tuple write
+// to a large relation cheap. Writers race optimistically: the derive
+// work happens outside the lock, and a writer that loses the publish
+// race simply retries over the new current version, so concurrent
+// appends both land instead of one failing.
 func (c *Catalog) update(name string, derive func(*relation.Relation) (*relation.Relation, error)) (uint64, error) {
 	for {
 		c.mu.RLock()
@@ -268,7 +256,7 @@ func (c *Catalog) update(name string, derive func(*relation.Relation) (*relation
 		var set *index.Set
 		if prevSet != nil {
 			if d, ok := next.DeltaSince(cur.Version()); ok {
-				derived, layered, _, err := prevSet.Derive(next, d)
+				derived, layered, err := prevSet.Derive(next, d)
 				if err != nil {
 					return 0, err
 				}
@@ -296,9 +284,10 @@ func (c *Catalog) update(name string, derive func(*relation.Relation) (*relation
 		c.sets[next] = set
 		c.gen.Add(1)
 		c.mu.Unlock()
-		// Deep chains are folded off the write path: the publish above is
-		// done, the compactor swaps in fresh base indexes asynchronously.
-		if th := c.compactDepth(); th > 0 && set.MaxLayerDepth() >= th {
+		// A delta past the patch rule is folded off the write path: the
+		// publish above is done, the fold swaps in flat indexes
+		// asynchronously.
+		if !index.WorthPatching(set.DeltaLen(), next.Len()) {
 			c.scheduleCompact(name)
 		}
 		return next.Version(), nil
@@ -423,12 +412,12 @@ func (s source) IndexFor(rel *relation.Relation, spec index.Spec) (index.Index, 
 }
 
 // IndexBuilds returns the total number of index constructions the
-// catalog has performed since creation (eager, on-demand, and delta
-// layers).
+// catalog has performed since creation (eager, on-demand, net-delta
+// and fold).
 func (c *Catalog) IndexBuilds() int64 { return c.builds.Load() }
 
 // DeltaIndexBuilds returns how many of those constructions were O(k)
-// delta layers rather than full builds.
+// net-delta constructions rather than full builds.
 func (c *Catalog) DeltaIndexBuilds() int64 { return c.layered.Load() }
 
 // Stats is a point-in-time summary of the catalog.
@@ -441,8 +430,8 @@ type Stats struct {
 	// IndexBuilds is the lifetime index construction count.
 	IndexBuilds int64
 	// DeltaIndexBuilds is the portion of IndexBuilds that were O(k)
-	// delta layers composed over a prior version's build (Append/Delete
-	// carrying maintained specs forward) rather than full O(N)
+	// net-delta constructions over a flat base (Append/Delete carrying
+	// maintained specs forward) rather than full O(N)
 	// constructions. IndexBuilds − DeltaIndexBuilds is therefore the
 	// full-build count — the quantity incremental maintenance keeps flat
 	// under a trickle of writes.
@@ -451,9 +440,10 @@ type Stats struct {
 	PlansCached int
 	// PlanHits and PlanMisses count Prepare cache outcomes.
 	PlanHits, PlanMisses int64
-	// Compactions counts completed background registry compactions;
-	// CompactionBuilds the full index rebuilds they performed (included
-	// in IndexBuilds, but off the write path). IndexBuilds −
+	// Compactions counts completed registry folds — background ones and
+	// those a durable checkpoint runs before freezing; CompactionBuilds
+	// the flat rebuilds they performed (included in IndexBuilds, but off
+	// the write path). IndexBuilds −
 	// DeltaIndexBuilds − CompactionBuilds is therefore the synchronous
 	// full-build count a steady write stream must keep flat.
 	Compactions, CompactionBuilds int64

@@ -1,35 +1,21 @@
-// Background delta-chain compaction.
+// Registry folds: replacing a relation's base-plus-net-delta indexes by
+// flat builds over its current snapshot.
 //
-// Append/Delete realize carried index specs as delta layers — O(k)
-// construction per write, the product of PR 5 — but layered probes cost
-// more than base probes, and index.Set.Derive's only defense used to be
-// a *synchronous* full rebuild on the write path once a chain hit its
-// depth cap: exactly the latency spike a serving system must not take
-// inside a write. The compactor moves that fold off the hot path: when
-// a publish leaves a registry with a chain at or past Options.
-// CompactDepth, a background goroutine rebuilds the registry's specs as
-// fresh base indexes over the current snapshot and swaps it in, so
-// steady-state writes never reach Derive's cap (which remains as the
-// emergency brake for bursts that outrun the compactor).
+// Append/Delete carry every maintained spec as its flat base plus one
+// net delta (index.Set.Derive) — O(k) per write, never a rebuild on the
+// write path. The delta grows with the writes since the base, and past
+// index.WorthPatching a flat build is the cheaper steady state. Fold is
+// the one place a registry is rebuilt flat, with two callers: the
+// background compactor, scheduled by a publish whose net delta passes
+// the rule, and the durable checkpoint, which folds synchronously so
+// every index it freezes is flat.
 package catalog
 
 import "tetrisjoin/internal/index"
 
-// compactDepth resolves the configured trigger depth: 0 → default,
-// negative → disabled.
-func (c *Catalog) compactDepth() int {
-	switch {
-	case c.opts.CompactDepth < 0:
-		return 0
-	case c.opts.CompactDepth == 0:
-		return defaultCompactDepth
-	default:
-		return c.opts.CompactDepth
-	}
-}
-
-// scheduleCompact starts a background compaction of the named
-// relation's registry unless one is already in flight.
+// scheduleCompact starts a background fold of the named relation's
+// registry unless one is already in flight. A failed fold leaves the
+// delta registry in place; it is correct, only slower to probe.
 func (c *Catalog) scheduleCompact(name string) {
 	c.compactMu.Lock()
 	defer c.compactMu.Unlock()
@@ -38,60 +24,60 @@ func (c *Catalog) scheduleCompact(name string) {
 	}
 	c.compacting[name] = true
 	c.compactWG.Add(1)
-	go c.compact(name)
+	go func() {
+		defer c.compactWG.Done()
+		defer func() {
+			c.compactMu.Lock()
+			delete(c.compacting, name)
+			c.compactMu.Unlock()
+		}()
+		_ = c.Fold(name)
+	}()
 }
 
-// compact rebuilds the named relation's registry as fresh base indexes
-// and swaps it in, provided the relation version it read is still
-// current at swap time. A publish racing past the rebuild invalidates
-// it — the new version's registry layered over the stale deep set — so
-// the compactor re-reads and retries a bounded number of times; every
-// such racing publish re-checks the depth trigger itself, so a chain
-// can never silently stay deep.
-func (c *Catalog) compact(name string) {
-	defer c.compactWG.Done()
-	defer func() {
-		c.compactMu.Lock()
-		delete(c.compacting, name)
-		c.compactMu.Unlock()
-	}()
-	th := c.compactDepth()
+// Fold rebuilds the named relation's registry as flat indexes over its
+// current snapshot and swaps it in, when any of its indexes carries a
+// net delta; otherwise it does nothing. The swap happens only if the
+// version and registry it read are still current. A publish racing
+// past the rebuild invalidates it — the new version's registry composed
+// its delta over the stale base — so Fold re-reads and retries a
+// bounded number of times; such a racing publish re-checks the fold
+// trigger itself, so a delta can never silently stay large.
+func (c *Catalog) Fold(name string) error {
 	for attempt := 0; attempt < 8; attempt++ {
 		c.mu.RLock()
 		cur, ok := c.rels[name]
-		var old *index.Set
-		if ok {
-			old = c.sets[cur]
-		}
+		old := c.sets[cur]
 		c.mu.RUnlock()
-		if !ok || old == nil || old.MaxLayerDepth() < th {
-			return // gone, replaced, or already shallow
+		if !ok || old == nil || old.DeltaLen() == 0 {
+			return nil // gone, or already flat
 		}
 		fresh := index.NewSet(cur, &c.builds)
 		built := 0
 		for _, spec := range old.SpecList() {
 			_, b, err := fresh.Get(spec)
 			if err != nil {
-				return // leave the layered registry in place; it is correct
+				return err
 			}
 			if b {
 				built++
 			}
 		}
 		c.mu.Lock()
-		if c.rels[name] == cur {
+		if c.rels[name] == cur && c.sets[cur] == old {
 			c.sets[cur] = fresh
 			c.mu.Unlock()
 			c.compactions.Add(1)
 			c.compactBuilds.Add(int64(built))
-			return
+			return nil
 		}
 		c.mu.Unlock()
 	}
+	return nil
 }
 
-// WaitCompactions blocks until every in-flight background compaction
-// has finished; for tests and orderly shutdown.
+// WaitCompactions blocks until every in-flight background fold has
+// finished; for tests and orderly shutdown.
 func (c *Catalog) WaitCompactions() {
 	c.compactWG.Wait()
 }

@@ -74,10 +74,6 @@ type Refresh struct {
 	Stats core.Stats
 }
 
-// maintPatchFactor mirrors index.Set's layering heuristic: a delta
-// bigger than a quarter of the new snapshot is not worth patching.
-const maintPatchFactor = 4
-
 // Maintain prepares the query, executes it once in full, and returns a
 // statement that keeps the materialized result in sync with the
 // catalog's relations across Append/Delete. The mode and SAO are fixed
@@ -258,7 +254,7 @@ func (m *Maintained) assess() (current map[string]*relation.Relation, deltas map
 			continue // version moved, tuple set did not
 		case d.Mixed():
 			return current, nil, fmt.Sprintf("mixed insert+delete span on %q", name)
-		case d.Len()*maintPatchFactor > cur.Len():
+		case !index.WorthPatching(d.Len(), cur.Len()):
 			return current, nil, fmt.Sprintf("delta on %q too large to patch (%d of %d tuples)", name, d.Len(), cur.Len())
 		}
 		deltas[name] = d

@@ -247,7 +247,7 @@ func TestMaintainedTwoRelationsChanged(t *testing.T) {
 
 // Regression for the bug this PR fixes: a 1-tuple Append must not
 // rebuild indexes in full — not the changed relation's (each carried
-// spec becomes an O(1)-sized delta layer) and certainly not the
+// spec takes an O(1)-sized net delta) and certainly not the
 // unchanged relations'. Pinned: the catalog-wide full-build count
 // (IndexBuilds − DeltaIndexBuilds) stays flat across the append, and
 // the per-append build total is the changed relation's spec count, not
@@ -278,7 +278,7 @@ func TestAppendDoesNotRebuildIndexes(t *testing.T) {
 	if fullAfter != fullBefore {
 		t.Fatalf("1-tuple append performed %d full index rebuilds", fullAfter-fullBefore)
 	}
-	// Every build the append did perform is an O(1)-sized layer, one per
+	// Every build the append did perform is an O(1)-sized delta, one per
 	// spec carried on R2 — independent of the other relations.
 	r2, _ := cat.Relation("R2")
 	specs := 0
@@ -290,18 +290,18 @@ func TestAppendDoesNotRebuildIndexes(t *testing.T) {
 	}
 	builds := after.IndexBuilds - before.IndexBuilds
 	if builds != int64(specs) {
-		t.Fatalf("append charged %d builds, want %d (one layer per spec of R2)", builds, specs)
+		t.Fatalf("append charged %d builds, want %d (one delta per spec of R2)", builds, specs)
 	}
 	if builds > 2 {
 		t.Fatalf("append charged %d builds; O(1) expected", builds)
 	}
 
 	// A sustained append stream must ALSO never pay a full rebuild
-	// synchronously: delta chains used to hit index.Set.Derive's depth
-	// cap and rebuild on the write path, now the background compactor
-	// folds them first. Pinned: the write-path full-build count
-	// (IndexBuilds − DeltaIndexBuilds − CompactionBuilds) stays flat
-	// across the whole stream, chains stay below the emergency cap, and
+	// synchronously: the background fold, not the write path, flattens
+	// a net delta that outgrew the patch rule. Pinned: the write-path
+	// full-build count (IndexBuilds − DeltaIndexBuilds −
+	// CompactionBuilds) stays flat across the whole stream, every index
+	// stays one delta deep and, once folds settle, within the rule, and
 	// compactions actually happened.
 	r := rand.New(rand.NewSource(7))
 	base := cat.Stats()
@@ -317,8 +317,12 @@ func TestAppendDoesNotRebuildIndexes(t *testing.T) {
 			t.Fatalf("append %d of stream performed %d synchronous full rebuilds", i, got-want)
 		}
 		cur, _ := cat.Relation("R2")
-		if d := catSetFor(t, cat, cur).MaxLayerDepth(); d >= 16 {
-			t.Fatalf("append %d of stream left a chain of depth %d; compactor should have folded it", i, d)
+		set := catSetFor(t, cat, cur)
+		if d := set.MaxLayerDepth(); d > 1 {
+			t.Fatalf("append %d of stream stacked %d deltas", i, d)
+		}
+		if !index.WorthPatching(set.DeltaLen(), cur.Len()) {
+			t.Fatalf("append %d of stream left a net delta of %d over %d tuples; the fold should have run", i, set.DeltaLen(), cur.Len())
 		}
 	}
 	if st := cat.Stats(); st.Compactions == 0 {
@@ -341,8 +345,8 @@ func BTreeSpecFor(rel *relation.Relation) index.Spec {
 // A long steady-state trickle: per-iteration refresh work stays
 // delta-sized (index builds bounded by the changed atom count), the
 // patch path never degrades to recomputes, and the result tracks the
-// scratch reference throughout — including across the index layer
-// chain's depth-cap rebuilds.
+// scratch reference throughout — including across the background folds
+// of the written relation's net delta.
 func TestMaintainedSteadyTrickle(t *testing.T) {
 	cat, text := pathCatalog(t, 80, 6, 6)
 	m, err := cat.Maintain(text, join.Options{Mode: core.Preloaded})

@@ -199,10 +199,10 @@ func (d *Catalog) Checkpoint() error {
 
 // freezeRelation serializes one relation — tuple slab plus every
 // maintained index in its frozen flat form — into a fresh segment
-// file, returning the manifest entry that locates it. Delta-layered
-// indexes have no flat form; they are folded by building a fresh flat
-// index at the current snapshot (the fold a checkpoint performs
-// anyway), without charging the catalog's build counter.
+// file, returning the manifest entry that locates it. An index carrying
+// a net delta has no flat form, so the registry is folded first — the
+// catalog's one fold, installed for the live catalog too rather than
+// built only to be thrown away.
 func (d *Catalog) freezeRelation(name string, rel *relation.Relation, lsn uint64, seq int) (ckptRelation, error) {
 	var w segment.Writer
 	entry := ckptRelation{
@@ -217,6 +217,9 @@ func (d *Catalog) freezeRelation(name string, rel *relation.Relation, lsn uint64
 	sort.Slice(specs, func(i, j int) bool { return specs[i].Key() < specs[j].Key() })
 	entry.Specs = specsToRecords(specs)
 	if !d.opts.DisableIndexSegments {
+		if err := d.Catalog.Fold(name); err != nil {
+			return entry, fmt.Errorf("durable: fold %s: %w", name, err)
+		}
 		if set := d.Catalog.IndexSet(name); set != nil {
 			for _, spec := range specs {
 				ix, _, err := set.Get(spec)
@@ -225,13 +228,7 @@ func (d *Catalog) freezeRelation(name string, rel *relation.Relation, lsn uint64
 				}
 				words, ok := index.FreezeIndex(ix)
 				if !ok {
-					flat, err := spec.Build(rel)
-					if err != nil {
-						return entry, fmt.Errorf("durable: fold %s %s: %w", name, spec.Key(), err)
-					}
-					if words, ok = index.FreezeIndex(flat); !ok {
-						continue // unfreezable family: recovery rebuilds it
-					}
+					continue // no flat form: recovery rebuilds it
 				}
 				sec := w.AddSection(segKindIndex, words)
 				entry.Indexes = append(entry.Indexes, ckptIndex{Spec: specToRecord(spec), Section: sec})

@@ -491,17 +491,6 @@ func (d *Catalog) MaintainedByID(id string) (*catalog.Maintained, bool) {
 	return e.m, true
 }
 
-// MaintainedIDs returns the registered statement ids, unordered.
-func (d *Catalog) MaintainedIDs() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	ids := make([]string, 0, len(d.maint))
-	for id := range d.maint {
-		ids = append(ids, id)
-	}
-	return ids
-}
-
 // applyOp re-applies one WAL record during recovery. These records were
 // produced after a successful catalog apply, so failure here means the
 // log and the code disagree — a hard error, not something to skip.

@@ -276,7 +276,7 @@ func TestCheckpointPlusTail(t *testing.T) {
 
 // A maintained statement checkpointed before further mutations is
 // re-materialized BEFORE the tail replays, so it digests the tail as
-// live deltas — the mid-delta-chain recovery path.
+// live deltas — the mid-delta recovery path.
 func TestMaintainedRecoveredMidDeltaChain(t *testing.T) {
 	fs := wal.NewMemFS()
 	d := openMem(t, fs)
@@ -474,5 +474,71 @@ func TestAutoCheckpoint(t *testing.T) {
 	r, _ := re.Relation("R")
 	if r.Len() != 6 {
 		t.Fatalf("recovered %d tuples, want 6", r.Len())
+	}
+}
+
+// LSNs keep ascending across a checkpoint's WAL rotation: the fresh
+// wal.log continues the counter instead of restarting it, and the
+// rotated epoch ends exactly where the fresh one begins. Recovery's
+// filter against the checkpoint LSN depends on it.
+func TestRotationKeepsLSNMonotonic(t *testing.T) {
+	fs := wal.NewMemFS()
+	d := openMem(t, fs)
+	defer d.Close()
+	seedPath(t, d, 10, 4, 3)
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	ckptLSN := d.WAL().CheckpointLSN
+	if _, err := d.Append("R1", relation.Tuple{1, 1}); err != nil {
+		t.Fatal(err)
+	}
+	prev, err := wal.Replay(fs, WALPrevName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := wal.Replay(fs, WALName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prev.LastLSN != ckptLSN || len(live.Records) != 1 || live.Records[0].LSN != ckptLSN+1 {
+		t.Fatalf("rotated epoch ends at LSN %d, fresh log holds %v; want end %d then %d",
+			prev.LastLSN, live.Records, ckptLSN, ckptLSN+1)
+	}
+}
+
+// A checkpoint over a relation with a live net delta folds its registry
+// flat through the catalog's one fold and installs the result, so the
+// live catalog and the frozen segment hold the same flat indexes.
+func TestCheckpointFoldsLiveDelta(t *testing.T) {
+	fs := wal.NewMemFS()
+	d := openMem(t, fs)
+	defer d.Close()
+	seedPath(t, d, 40, 6, 8)
+	if _, err := d.Append("R2", relation.Tuple{63, 62}); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.IndexSet("R2").DeltaLen(); got != 1 {
+		t.Fatalf("append left a net delta of %d, want 1", got)
+	}
+	before := d.Stats()
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	after := d.Stats()
+	if got := d.IndexSet("R2").DeltaLen(); got != 0 {
+		t.Fatalf("checkpoint left a net delta of %d on the live registry", got)
+	}
+	if after.Compactions != before.Compactions+1 || after.CompactionBuilds != before.CompactionBuilds+1 {
+		t.Fatalf("checkpoint folds %d (builds %d), want one fold of the one spec",
+			after.Compactions-before.Compactions, after.CompactionBuilds-before.CompactionBuilds)
+	}
+	re, err := Open("", Options{FS: fs.Clone(), CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if info := re.Recovery(); info.IndexesRebuilt != 0 || info.IndexesLoaded < 3 {
+		t.Fatalf("recovery %+v, want every index loaded from segments", info)
 	}
 }

@@ -14,11 +14,13 @@ import (
 )
 
 // incrementalOps is the script length of the IncrementalMaintained
-// configuration: enough steps to compose appends, deletes, duplicates
-// and absent-deletes into every interesting span shape (pure spans →
-// patched, folded mixed spans → recompute fallback) without dominating
-// the per-case check budget.
-const incrementalOps = 6
+// configuration: enough steps to compose appends, deletes, duplicates,
+// absent-deletes and undone writes into every interesting span shape
+// (pure spans → patched, folded mixed spans → recompute fallback), and
+// to push a fuzz-sized relation's net index delta past
+// index.WorthPatching so the catalog's fold runs mid-script, without
+// dominating the per-case check budget.
+const incrementalOps = 12
 
 // checkIncrementalMaintained is the IncrementalMaintained engine
 // configuration: the case's relations are ingested into a fresh
@@ -61,6 +63,7 @@ func (ck *Checker) checkIncrementalMaintained(c Case) *Discrepancy {
 	h := fnv.New64a()
 	h.Write(c.Marshal())
 	rng := rand.New(rand.NewSource(int64(h.Sum64())))
+	script := newWriteScript(rng)
 
 	atomsOf := map[string]int{}
 	for _, a := range q.Atoms() {
@@ -70,7 +73,7 @@ func (ck *Checker) checkIncrementalMaintained(c Case) *Discrepancy {
 	span := map[string]bool{}
 	for op := 0; op < incrementalOps; op++ {
 		name := names[rng.Intn(len(names))]
-		desc, err := mutateRelation(cat, name, rng)
+		desc, err := script.mutate(cat, name)
 		if err != nil {
 			return &Discrepancy{Config: "incremental-maintained",
 				Detail: fmt.Sprintf("script op %d (%s): %v", op, desc, err)}
@@ -82,6 +85,9 @@ func (ck *Checker) checkIncrementalMaintained(c Case) *Discrepancy {
 		if op < incrementalOps-1 && rng.Intn(3) == 0 {
 			continue
 		}
+		// Let a fold the writes scheduled finish, so the refresh reads a
+		// deterministic registry.
+		cat.WaitCompactions()
 		res, err := m.Execute(join.Options{})
 		if err != nil {
 			return &Discrepancy{Config: "incremental-maintained",
@@ -142,15 +148,29 @@ func (ck *Checker) compareMaintained(cat *catalog.Catalog, m *catalog.Maintained
 	return nil
 }
 
-// mutateRelation applies one random catalog write to the named relation
-// and describes it. The op mix deliberately includes the degenerate
-// cases — duplicate appends and absent deletes (empty effective deltas)
-// and multi-tuple batches — alongside plain single-tuple writes.
-func mutateRelation(cat *catalog.Catalog, name string, rng *rand.Rand) (string, error) {
+// writeScript draws random catalog writes and remembers, per relation,
+// the tuples it appended and deleted, so later writes can undo them: a
+// deleted tuple re-appended cancels a tombstone of the relation's net
+// index delta, an appended tuple deleted cancels an insert.
+type writeScript struct {
+	rng               *rand.Rand
+	appended, deleted map[string][]relation.Tuple
+}
+
+func newWriteScript(rng *rand.Rand) *writeScript {
+	return &writeScript{rng: rng, appended: map[string][]relation.Tuple{}, deleted: map[string][]relation.Tuple{}}
+}
+
+// mutate applies one random write to the named relation and describes
+// it. The op mix deliberately includes the degenerate cases — duplicate
+// appends and absent deletes (empty effective deltas), multi-tuple
+// batches and undone writes — alongside plain single-tuple writes.
+func (s *writeScript) mutate(cat *catalog.Catalog, name string) (string, error) {
 	rel, ok := cat.Relation(name)
 	if !ok {
 		return "?", fmt.Errorf("relation %q vanished", name)
 	}
+	rng := s.rng
 	depths := rel.Depths()
 	randTuple := func() relation.Tuple {
 		t := make(relation.Tuple, len(depths))
@@ -159,9 +179,10 @@ func mutateRelation(cat *catalog.Catalog, name string, rng *rand.Rand) (string, 
 		}
 		return t
 	}
-	switch k := rng.Intn(6); {
+	switch k := rng.Intn(8); {
 	case k == 0 && rel.Len() > 0: // delete an existing tuple
 		victim := rel.Tuples()[rng.Intn(rel.Len())]
+		s.deleted[name] = append(s.deleted[name], victim)
 		_, err := cat.Delete(name, victim)
 		return fmt.Sprintf("delete %s%v", name, victim), err
 	case k == 1: // delete a (likely) absent tuple
@@ -174,10 +195,20 @@ func mutateRelation(cat *catalog.Catalog, name string, rng *rand.Rand) (string, 
 		return fmt.Sprintf("append-dup %s%v", name, dup), err
 	case k == 3: // batch append
 		batch := []relation.Tuple{randTuple(), randTuple(), randTuple()}
+		s.appended[name] = append(s.appended[name], batch...)
 		_, err := cat.Append(name, batch...)
 		return fmt.Sprintf("append-batch %s x%d", name, len(batch)), err
+	case k == 4 && len(s.deleted[name]) > 0: // re-append a deleted tuple
+		t := s.deleted[name][rng.Intn(len(s.deleted[name]))]
+		_, err := cat.Append(name, t)
+		return fmt.Sprintf("re-append %s%v", name, t), err
+	case k == 5 && len(s.appended[name]) > 0: // delete an appended tuple
+		t := s.appended[name][rng.Intn(len(s.appended[name]))]
+		_, err := cat.Delete(name, t)
+		return fmt.Sprintf("delete-appended %s%v", name, t), err
 	default: // single append
 		t := randTuple()
+		s.appended[name] = append(s.appended[name], t)
 		_, err := cat.Append(name, t)
 		return fmt.Sprintf("append %s%v", name, t), err
 	}

@@ -46,15 +46,17 @@ func TestIncrementalMaintainedAllFamilies(t *testing.T) {
 		sao := m.Plan().SAOVars()
 
 		rng := rand.New(rand.NewSource(int64(len(name)) * 1315423911))
+		script := newWriteScript(rng)
 		for op := 0; op < 10; op++ {
 			relName := names[rng.Intn(len(names))]
-			desc, err := mutateRelation(cat, relName, rng)
+			desc, err := script.mutate(cat, relName)
 			if err != nil {
 				t.Fatalf("%s: op %d (%s): %v", name, op, desc, err)
 			}
 			if op%4 == 1 { // fold occasionally: multi-write spans
 				continue
 			}
+			cat.WaitCompactions()
 			res, err := m.Execute(join.Options{})
 			if err != nil {
 				t.Fatalf("%s: refresh after op %d (%s): %v", name, op, desc, err)

@@ -1,285 +1,166 @@
-// Delta index builds: composing the immutable index of a relation
-// version v with a small structure over the tuples that changed, so the
-// index for version v+1 costs O(k) construction instead of O(N).
+// Delta index builds: the index of a relation version as a flat build
+// over an earlier base snapshot plus ONE net delta since that base, so
+// a k-tuple write costs a small construction instead of an O(N)
+// rebuild.
 //
-// The two directions compose differently because gap certificates move
-// in opposite directions under mutation:
+// The net delta splits the current snapshot as rel = (base \ T) ∪ I,
+// with the inserted tuples I disjoint from the base and the tombstones
+// T ⊆ base. Gap certificates move in opposite directions under the two
+// halves:
 //
-//   - Deletion only grows the empty space: every gap box of v is still a
-//     gap box of v \ D, and the k deleted tuples become point gaps. The
-//     layered index is therefore a plain gap-set union — the existing
-//     Union type over the prior index (rebased onto the new snapshot)
-//     and a Tombstones index holding the point boxes of D.
+//   - Deletion only grows the empty space: every gap box of the base is
+//     still a gap box of base \ T, and each tombstone is a point gap.
 //
-//   - Insertion shrinks the empty space: a gap box of v may contain an
-//     inserted tuple, so the prior gaps are NOT valid for v ∪ A. What is
-//     valid is every pairwise intersection: comp(v ∪ A) = comp(v) ∩
-//     comp(A), and the intersection of two dyadic boxes is itself a
-//     dyadic box (per dimension the intervals are nested or disjoint).
-//     The Appended type realizes this intersection product lazily at
-//     probe time — both member probes return boxes containing the probe
-//     point, so every pairwise meet is non-empty and contains it.
+//   - Insertion shrinks it: a base gap may contain an inserted tuple, so
+//     the base gaps alone are NOT valid. What is valid is every pairwise
+//     meet: comp(base ∪ I) = comp(base) ∩ comp(I), and the meet of two
+//     dyadic boxes is itself a dyadic box (per dimension the intervals
+//     are nested or disjoint). Patched realizes the meet lazily at probe
+//     time against a spec-built index over I — both probes return boxes
+//     containing the probe point, so every pairwise meet is non-empty
+//     and contains it.
 //
-// Either composition preserves the oracle contract exactly: GapsAt is
-// empty iff the probe point is a tuple of the NEW version, and AllGaps
-// unions to precisely the complement of the new version. Layers chain
-// (an appended-over-deleted-over-appended index is fine); Set.Derive
-// caps the chain depth and falls back to a full rebuild past it, since
-// probe cost grows with the number of layers.
+// Together comp(rel) = (comp(base) ∩ comp(I)) ∪ T, exactly, so GapsAt
+// is empty iff the probe point is a tuple of rel. AllGaps, which must
+// also union to precisely the complement of rel, enumerates a flat
+// build instead of the meet product (see Patched.AllGaps). Set.Derive folds each write into the
+// existing net delta (relation.Delta.Then), so a delta never stacks on
+// a delta; replacing base plus delta by a fresh flat build is the
+// catalog's fold, run once the delta stops being WorthPatching.
 package index
 
 import (
 	"fmt"
 	"sort"
 
-	"tetrisjoin/internal/boxtree"
 	"tetrisjoin/internal/dyadic"
 	"tetrisjoin/internal/relation"
 )
 
-// Tombstones is a gap generator whose gap set is the point boxes of
-// tuples deleted from the relation: the delete half of a layered index.
-// Every tombstone tuple must be absent from the relation (the catalog
-// guarantees this by recording effective deltas only).
-type Tombstones struct {
-	rel     *relation.Relation
-	deleted []relation.Tuple // sorted, deduplicated
-}
+// WorthPatching is the one "delta worth patching" rule: a delta of k
+// changed tuples against a snapshot of n tuples is patched while it
+// stays within a quarter of n. Past it, a flat rebuild (the catalog's
+// fold) or a full recomputation (a maintained statement's fallback) is
+// the cheaper steady state.
+func WorthPatching(k, n int) bool { return k*4 <= n }
 
-// NewTombstones builds the tombstone layer over the new snapshot. The
-// deleted tuples are copied (headers only) and sorted.
-func NewTombstones(rel *relation.Relation, deleted []relation.Tuple) *Tombstones {
-	ts := make([]relation.Tuple, len(deleted))
-	copy(ts, deleted)
-	sort.Slice(ts, func(i, j int) bool { return relation.Compare(ts[i], ts[j]) < 0 })
-	return &Tombstones{rel: rel, deleted: ts}
-}
-
-// Relation implements Index.
-func (t *Tombstones) Relation() *relation.Relation { return t.rel }
-
-// Kind implements Index.
-func (t *Tombstones) Kind() string { return fmt.Sprintf("tombstones(%d)", len(t.deleted)) }
-
-// AllGaps implements Index: one unit box per deleted tuple.
-func (t *Tombstones) AllGaps() []dyadic.Box {
-	depths := t.rel.Depths()
-	out := make([]dyadic.Box, len(t.deleted))
-	for i, tup := range t.deleted {
-		out[i] = dyadic.Point(tup, depths)
-	}
-	return out
-}
-
-// tombstoneCursor owns the probe scratch: a single reused unit box.
-type tombstoneCursor struct {
-	t   *Tombstones
-	box dyadic.Box
-	out []dyadic.Box
-}
-
-// NewCursor implements Index.
-func (t *Tombstones) NewCursor() Cursor {
-	return &tombstoneCursor{t: t, box: make(dyadic.Box, t.rel.Arity()), out: make([]dyadic.Box, 0, 1)}
-}
-
-// GapsAt implements Cursor: the point's own unit box when it is a
-// tombstone, nothing otherwise.
-func (c *tombstoneCursor) GapsAt(point []uint64) []dyadic.Box {
-	checkPoint(c.t.rel, point)
-	i := sort.Search(len(c.t.deleted), func(i int) bool {
-		return relation.Compare(c.t.deleted[i], point) >= 0
-	})
-	if i >= len(c.t.deleted) || relation.Compare(c.t.deleted[i], point) != 0 {
-		return nil
-	}
-	depths := c.t.rel.Depths()
-	for d := range c.box {
-		c.box[d] = dyadic.Unit(point[d], depths[d])
-	}
-	c.out = c.out[:0]
-	return append(c.out, c.box)
-}
-
-// rebased re-parents an index onto a different relation snapshot, so it
-// can be a member of a layered composite whose Relation() must report
-// the new version. On its own a rebased index violates the GapsAt
-// emptiness contract (it still describes the old tuple set); it is only
-// sound inside NewDeleted/NewAppended, which restore the contract for
-// the composite. Hence unexported construction.
-type rebased struct {
-	Index
-	rel *relation.Relation
-}
-
-func (r rebased) Relation() *relation.Relation { return r.rel }
-
-// Kind implements Index, making the rebase visible in diagnostics.
-func (r rebased) Kind() string { return "rebase(" + r.Index.Kind() + ")" }
-
-// NewDeleted layers deletions over a prior version's index: rel must be
-// the new snapshot (prior minus deleted), base an index over the prior
-// version, and deleted the effective tuples removed — each present in
-// the prior version and absent from rel. The result is a plain Union of
-// gap generators: the prior gaps (still valid — deletion only grows the
-// empty space) plus one point gap per deleted tuple.
-func NewDeleted(rel *relation.Relation, base Index, deleted []relation.Tuple) (Index, error) {
-	if base.Relation().Arity() != rel.Arity() {
-		return nil, fmt.Errorf("index: deleted layer arity mismatch: base %d, relation %s has %d",
-			base.Relation().Arity(), rel.Name(), rel.Arity())
-	}
-	for _, t := range deleted {
-		if rel.Contains(t...) {
-			return nil, fmt.Errorf("index: tombstone %v is still a tuple of %s", t, rel.Name())
-		}
-	}
-	return NewUnion(rebased{Index: base, rel: rel}, NewTombstones(rel, deleted))
-}
-
-// Appended layers insertions over a prior version's index: the gap set
-// of rel = prior ∪ inserted is the pairwise intersection of the prior
-// index's gaps with the gaps of a small index over just the inserted
-// tuples.
-type Appended struct {
-	rel   *relation.Relation
-	base  Index // over the prior version
-	delta Index // over the inserted-tuples relation
-}
-
-// NewAppended builds the insert layer. rel must be the new snapshot,
-// base an index over the prior version, delta an index over a relation
-// holding exactly the inserted tuples (same schema); the inserted
-// tuples must be disjoint from the prior version.
-func NewAppended(rel *relation.Relation, base, delta Index) (*Appended, error) {
-	if base.Relation().Arity() != rel.Arity() || delta.Relation().Arity() != rel.Arity() {
-		return nil, fmt.Errorf("index: appended layer arity mismatch over %s", rel.Name())
-	}
-	return &Appended{rel: rel, base: base, delta: delta}, nil
+// Patched is an index over the current snapshot made of a flat build
+// over an earlier base snapshot plus the net delta between the two.
+// Construct it only through Set.Derive, which keeps the delta's
+// invariants: Inserted tuples are absent from the base, Deleted tuples
+// (the tombstones) are base tuples absent from the current snapshot.
+type Patched struct {
+	rel  *relation.Relation // the current snapshot
+	spec Spec               // what base and ins were built from
+	base Index              // flat build over the base snapshot
+	net  relation.Delta     // rel minus base, both halves sorted
+	ins  Index              // spec-built over net.Inserted; nil when empty
 }
 
 // Relation implements Index.
-func (a *Appended) Relation() *relation.Relation { return a.rel }
+func (p *Patched) Relation() *relation.Relation { return p.rel }
 
 // Kind implements Index.
-func (a *Appended) Kind() string {
-	return "append(" + a.base.Kind() + "+" + a.delta.Kind() + ")"
+func (p *Patched) Kind() string {
+	return fmt.Sprintf("patched(%s,+%d,-%d)", p.base.Kind(), len(p.net.Inserted), len(p.net.Deleted))
 }
 
-// AllGaps implements Index: every non-empty pairwise meet of the two
-// members' gap sets, deduplicated. Their union is comp(prior) ∩
-// comp(inserted) = comp(rel), exactly.
-func (a *Appended) AllGaps() []dyadic.Box {
-	baseGaps := a.base.AllGaps()
-	deltaGaps := a.delta.AllGaps()
-	seen := boxtree.New(a.rel.Arity())
-	var out []dyadic.Box
-	for _, g := range baseGaps {
-		for _, h := range deltaGaps {
-			m, ok := g.Meet(h)
-			if !ok {
-				continue
-			}
-			if seen.Insert(m) {
-				out = append(out, m)
-			}
-		}
+// AllGaps implements Index: the gap set of a flat build of the same
+// spec over the current snapshot — exactly comp(rel), at the cost of
+// one build. Enumerating the meet product instead would pair every base
+// gap with every insert gap: quadratic in a delta that may reach a
+// quarter of the snapshot.
+func (p *Patched) AllGaps() []dyadic.Box {
+	flat, err := p.spec.Build(p.rel)
+	if err != nil {
+		// The same spec built the base over the same schema.
+		panic(fmt.Sprintf("index: rebuilding %s over %s: %v", p.spec.Key(), p.rel.Name(), err))
 	}
-	return out
+	return flat.AllGaps()
 }
 
-// appendedCursor intersects the two member probes. Both members return
-// boxes containing the probe point, so per dimension the intervals are
-// nested and every pairwise meet is non-empty and contains the point.
-type appendedCursor struct {
-	a          *Appended
-	base       Cursor
-	delta      Cursor
-	arena      []dyadic.Interval // storage for result boxes, reused
-	out        []dyadic.Box
-	seen       *boxtree.Tree
-	deltaBoxes []dyadic.Box // copy of the delta probe (its scratch dies on reuse)
+// patchedCursor probes the base and the insert index and meets their
+// results. The two member cursors are distinct flat indexes' cursors,
+// so their result scratch never aliases.
+type patchedCursor struct {
+	p     *Patched
+	base  Cursor
+	ins   Cursor            // nil when the delta inserts nothing
+	arena []dyadic.Interval // storage for built meets, reused
+	out   []dyadic.Box
 }
 
 // NewCursor implements Index.
-func (a *Appended) NewCursor() Cursor {
-	return &appendedCursor{
-		a:     a,
-		base:  a.base.NewCursor(),
-		delta: a.delta.NewCursor(),
-		seen:  boxtree.New(a.rel.Arity()),
+func (p *Patched) NewCursor() Cursor {
+	c := &patchedCursor{p: p, base: p.base.NewCursor()}
+	if p.ins != nil {
+		c.ins = p.ins.NewCursor()
 	}
+	return c
 }
 
-// GapsAt implements Cursor. Results are valid until the next call.
-func (c *appendedCursor) GapsAt(point []uint64) []dyadic.Box {
-	n := c.a.rel.Arity()
+// GapsAt implements Cursor: a tombstone's unit box, or the meet of the
+// base probe with the insert probe. Results (which may alias the member
+// cursors' scratch) are valid until the next call.
+func (c *patchedCursor) GapsAt(point []uint64) []dyadic.Box {
 	c.out = c.out[:0]
 	c.arena = c.arena[:0]
-	// Probe the delta side first and copy its boxes into the arena: the
-	// base probe below may share cursor scratch transitively (chained
-	// layers probe the same underlying indexes), so the two result sets
-	// must not alias.
-	dg := c.delta.GapsAt(point)
-	if len(dg) == 0 {
-		return nil // point is an inserted tuple of rel
-	}
-	c.deltaBoxes = c.deltaBoxes[:0]
-	for _, h := range dg {
-		mark := len(c.arena)
-		c.arena = append(c.arena, h...)
-		c.deltaBoxes = append(c.deltaBoxes, dyadic.Box(c.arena[mark:mark+n]))
+	if del := c.p.net.Deleted; len(del) > 0 {
+		i := sort.Search(len(del), func(i int) bool { return relation.Compare(del[i], point) >= 0 })
+		if i < len(del) && relation.Compare(del[i], point) == 0 {
+			depths := c.p.rel.Depths()
+			for d, v := range point {
+				c.arena = append(c.arena, dyadic.Unit(v, depths[d]))
+			}
+			return append(c.out, dyadic.Box(c.arena))
+		}
 	}
 	bg := c.base.GapsAt(point)
-	if len(bg) == 0 {
-		return nil // point is a prior tuple of rel
+	if len(bg) == 0 || c.ins == nil {
+		return bg // a live base tuple, or nothing inserted to meet with
 	}
-	c.seen.Reset()
+	ig := c.ins.GapsAt(point)
+	if len(ig) == 0 {
+		return nil // an inserted tuple
+	}
 	for _, g := range bg {
-		for _, h := range c.deltaBoxes {
-			mark := len(c.arena)
-			c.arena = append(c.arena, g...)
-			m := dyadic.Box(c.arena[mark : mark+n])
-			for d := range m {
-				// Both intervals contain the probe value: the meet is the
-				// deeper (longer-prefix) of the two.
-				if h[d].Contains(m[d]) {
-					continue
+		for _, h := range ig {
+			// Both boxes contain the probe point, so per dimension the
+			// intervals are nested and the meet takes the deeper one.
+			// Usually one box is the deeper in every dimension and is the
+			// meet itself; only a mixed meet is built in the arena.
+			var m dyadic.Box
+			switch {
+			case h.Contains(g):
+				m = g
+			case g.Contains(h):
+				m = h
+			default:
+				mark := len(c.arena)
+				for d := range g {
+					if g[d].Contains(h[d]) {
+						c.arena = append(c.arena, h[d])
+					} else {
+						c.arena = append(c.arena, g[d])
+					}
 				}
-				m[d] = h[d]
+				m = dyadic.Box(c.arena[mark:len(c.arena):len(c.arena)])
 			}
-			if c.seen.Insert(m) {
+			if !containsBox(c.out, m) {
 				c.out = append(c.out, m)
-			} else {
-				c.arena = c.arena[:mark]
 			}
 		}
 	}
 	return c.out
 }
 
-// LayerDepth reports how many delta layers an index stacks over its
-// innermost full build: 0 for a directly built index, 1 + depth(base)
-// for a layered one. Set.Derive uses it to cap chains.
-func LayerDepth(ix Index) int {
-	switch v := ix.(type) {
-	case *Appended:
-		return 1 + LayerDepth(v.base)
-	case rebased:
-		return LayerDepth(v.Index)
-	case *Union:
-		// A deleted layer is Union(rebase(base), tombstones); a plain
-		// user-assembled Union of direct indexes reports 0.
-		depth := 0
-		for _, m := range v.indices {
-			if d := LayerDepth(m); d > depth {
-				depth = d
-			}
+// containsBox reports whether boxes holds a box equal to b; probe
+// results are a handful of boxes, so a scan beats any set.
+func containsBox(boxes []dyadic.Box, b dyadic.Box) bool {
+	for _, o := range boxes {
+		if o.Equal(b) {
+			return true
 		}
-		if _, isLayer := v.indices[0].(rebased); isLayer {
-			return 1 + depth
-		}
-		return depth
-	default:
-		return 0
 	}
+	return false
 }

@@ -10,9 +10,9 @@ import (
 // index family serializes to a flat word slab (AppendWords) and loads
 // back (FromWords) with structural validation but no reconstruction —
 // the load path performs zero index builds, which is what lets a
-// segment-backed restart keep Stats.IndexBuilds at zero. Delta-layered
-// indexes are not serialized directly; the durable layer freezes a
-// fresh flat build instead (a checkpoint folds layers by construction).
+// segment-backed restart keep Stats.IndexBuilds at zero. An index
+// carrying a net delta is not serialized directly; a checkpoint folds
+// the registry flat first (catalog.Catalog.Fold).
 
 // Sorted.AppendWords serializes the sorted index: arity, the attribute
 // order as schema positions, the tuple count, then the reordered tuple
@@ -81,16 +81,12 @@ func SortedFromWords(rel *relation.Relation, words []uint64) (*Sorted, error) {
 }
 
 // FreezeIndex serializes a built index into a word slab, reporting
-// false for shapes that have no flat form (delta layers — the caller
-// freezes a fresh build instead). A rebased wrapper is unwrapped: it
-// holds a flat index over the identical tuple set.
+// false for shapes that have no flat form: a Patched index carrying a
+// net delta (the durable layer folds those flat first). A Patched index
+// with an empty net delta freezes as its base — the identical tuple set.
 func FreezeIndex(ix Index) ([]uint64, bool) {
-	for {
-		if rb, ok := ix.(rebased); ok {
-			ix = rb.Index
-			continue
-		}
-		break
+	if p, ok := ix.(*Patched); ok && p.net.Empty() {
+		ix = p.base
 	}
 	switch t := ix.(type) {
 	case *Sorted:

@@ -91,26 +91,34 @@ func TestFreezeLoadDifferential(t *testing.T) {
 	}
 }
 
-// TestFreezeUnwrapsRebased: a rebased wrapper (same tuple set, new
-// snapshot pointer) freezes to its inner flat index.
+// TestFreezeUnwrapsRebased: an index re-pointed at a new snapshot with
+// the same tuple set (an empty net delta) freezes to its flat base.
 func TestFreezeUnwrapsRebased(t *testing.T) {
 	rel := relation.MustNewUniform("R", []string{"A", "B"}, 4)
 	rel.MustInsert(1, 2)
 	rel.MustInsert(3, 4)
-	ix := MustSorted(rel)
-	next := rel.Clone("R")
-	wrapped := rebased{Index: ix, rel: next}
-	words, ok := FreezeIndex(wrapped)
+	next, err := rel.WithInserted(relation.Tuple{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := NewSet(rel, nil)
+	set.Ensure(BTreeSpec())
+	derived, _, err := set.Derive(next, relation.Delta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, _, _ := derived.Get(BTreeSpec())
+	words, ok := FreezeIndex(ix)
 	if !ok {
-		t.Fatal("rebased index not freezable")
+		t.Fatalf("re-pointed index %s not freezable", ix.Kind())
 	}
 	if _, err := SortedFromWords(next, words); err != nil {
-		t.Fatalf("load of rebased freeze: %v", err)
+		t.Fatalf("load of re-pointed freeze: %v", err)
 	}
 }
 
-// TestFreezeRejectsLayered: delta-layered indexes report not-freezable
-// so the durable layer knows to freeze a fresh build.
+// TestFreezeRejectsLayered: an index carrying a net delta reports
+// not-freezable, so the durable layer knows to fold it flat first.
 func TestFreezeRejectsLayered(t *testing.T) {
 	rel := relation.MustNewUniform("R", []string{"A", "B"}, 4)
 	rel.MustInsert(1, 2)
@@ -118,13 +126,14 @@ func TestFreezeRejectsLayered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := MustSorted(rel)
-	deltaRel := relation.MustNewUniform("R+d", []string{"A", "B"}, 4)
-	deltaRel.MustInsert(3, 4)
-	layered, err := NewAppended(next, base, MustSorted(deltaRel))
+	d, _ := next.DeltaSince(rel.Version())
+	set := NewSet(rel, nil)
+	set.Ensure(BTreeSpec())
+	derived, _, err := set.Derive(next, d)
 	if err != nil {
 		t.Fatal(err)
 	}
+	layered, _, _ := derived.Get(BTreeSpec())
 	if _, ok := FreezeIndex(layered); ok {
 		t.Fatal("layered index claimed to be freezable")
 	}

@@ -180,40 +180,42 @@ func (s *Set) Ensure(specs ...Spec) error {
 	return nil
 }
 
-// maxLayerDepth caps how many delta layers Derive stacks before falling
-// back to a full rebuild: probe cost grows with the chain (each append
-// layer multiplies probe results, each delete layer adds a member
-// probe), so past this depth a fresh O(N) build is the cheaper steady
-// state. With the catalog's background compactor folding chains at a
-// lower threshold off the write path, this cap is the emergency brake
-// for bursts that outrun the compactor, not the steady-state policy.
-const maxLayerDepth = 16
-
-// MaxLayerDepth reports the deepest delta-layer chain among the held
-// indexes: the catalog's compaction trigger.
-func (s *Set) MaxLayerDepth() int {
+// DeltaLen reports the largest net delta — inserted plus tombstoned
+// tuples — any held index carries over its flat base: 0 when every
+// index is flat or only re-pointed at an unchanged tuple set. The
+// catalog's fold trigger.
+func (s *Set) DeltaLen() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	depth := 0
+	n := 0
 	for _, e := range s.byKey {
-		if d := LayerDepth(e.ix); d > depth {
-			depth = d
+		if p, ok := e.ix.(*Patched); ok {
+			n = max(n, p.net.Len())
 		}
 	}
-	return depth
+	return n
+}
+
+// MaxLayerDepth reports how many deltas the deepest held index stacks
+// over its flat base: 1 when some index carries a net delta, else 0.
+// Derive never stacks a second one.
+func (s *Set) MaxLayerDepth() int {
+	if s.DeltaLen() > 0 {
+		return 1
+	}
+	return 0
 }
 
 // Derive builds the index registry for the next version of this set's
-// relation from the delta between the two versions. Every spec held
-// here is carried to the new set; each is realized as a delta layer
-// over the existing immutable build — O(k) construction for a k-tuple
-// delta — unless the delta is too large relative to the snapshot or the
-// layer chain too deep, in which case that spec is rebuilt in full.
-// Returns the new set plus how many specs took each path; layered
-// constructions charge the shared build counter once each (they are
-// real, if small, index constructions), full rebuilds charge through
-// the normal Get path.
-func (s *Set) Derive(next *relation.Relation, d relation.Delta) (set *Set, layered, full int, err error) {
+// relation from the write d that produced it. Every held spec carries
+// over in the one delta shape: its flat base stays, d is composed into
+// the net delta since that base (inserts cancel tombstones, deletes
+// cancel inserts), and the insert index is rebuilt over the net inserts
+// when they changed. Derive never rebuilds flat; that is the catalog's
+// fold. Returns the new set plus how many specs took a delta
+// construction — each charges the shared build counter once — and an
+// empty d charges nothing: only the snapshot pointer moves.
+func (s *Set) Derive(next *relation.Relation, d relation.Delta) (_ *Set, layered int, err error) {
 	s.mu.RLock()
 	entries := make([]setEntry, 0, len(s.byKey))
 	for _, e := range s.byKey {
@@ -221,63 +223,58 @@ func (s *Set) Derive(next *relation.Relation, d relation.Delta) (set *Set, layer
 	}
 	s.mu.RUnlock()
 
+	// Specs over one base snapshot share its net delta and the relation
+	// over its inserts; each builds its own insert index (a B-tree spec
+	// needs its own order).
+	type netDelta struct {
+		net    relation.Delta
+		insRel *relation.Relation // nil when the inserts did not change
+	}
+	byBase := map[*relation.Relation]netDelta{}
 	out := NewSet(next, s.builds)
-	if len(entries) == 0 {
-		return out, 0, 0, nil
-	}
-
-	// One shared relation over the inserted tuples; each spec builds its
-	// own small index over it (a B-tree spec needs its own order).
-	var deltaRel *relation.Relation
-	if len(d.Inserted) > 0 {
-		deltaRel, err = relation.New(next.Name()+"+delta", next.Attrs(), next.Depths())
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		if err := deltaRel.InsertAll(d.Inserted...); err != nil {
-			return nil, 0, 0, err
-		}
-		deltaRel.Tuples() // normalize: shared read-only once published
-	}
-
 	for _, e := range entries {
-		switch {
-		case d.Empty():
-			// The tuple set is unchanged (e.g. an append of duplicates):
-			// the old build is valid verbatim, only its snapshot pointer
-			// moves. No construction, no charge.
-			out.put(e.spec, rebased{Index: e.ix, rel: next})
-		case LayerDepth(e.ix) >= maxLayerDepth || d.Len()*4 > next.Len():
-			if _, _, err := out.Get(e.spec); err != nil {
-				return nil, 0, 0, err
-			}
-			full++
-		default:
-			cur := e.ix
-			if len(d.Deleted) > 0 {
-				cur, err = NewDeleted(next, cur, d.Deleted)
-				if err != nil {
-					return nil, 0, 0, err
+		prev, ok := e.ix.(*Patched)
+		if !ok {
+			prev = &Patched{base: e.ix}
+		}
+		nd, ok := byBase[prev.base.Relation()]
+		if !ok {
+			nd.net = prev.net.Then(d)
+			// Without new inserts the insert set can only shrink, so an
+			// equal length means it is unchanged.
+			if len(nd.net.Inserted) > 0 && (len(d.Inserted) > 0 || len(nd.net.Inserted) != len(prev.net.Inserted)) {
+				// The net inserts are sorted and distinct: lay them out as a
+				// tuple slab and adopt it, no per-tuple copy or re-sort.
+				words := make([]uint64, 1, 1+len(nd.net.Inserted)*next.Arity())
+				words[0] = uint64(len(nd.net.Inserted))
+				for _, t := range nd.net.Inserted {
+					words = append(words, t...)
 				}
-			}
-			if len(d.Inserted) > 0 {
-				deltaIx, err := e.spec.Build(deltaRel)
+				rel, err := relation.FromWords(next.Name()+"+delta", next.Attrs(), next.Depths(), words)
 				if err != nil {
-					return nil, 0, 0, err
+					return nil, 0, err
 				}
-				cur, err = NewAppended(next, cur, deltaIx)
-				if err != nil {
-					return nil, 0, 0, err
-				}
+				nd.insRel = rel
 			}
-			out.put(e.spec, cur)
+			byBase[prev.base.Relation()] = nd
+		}
+		p := &Patched{rel: next, spec: e.spec, base: prev.base, net: nd.net, ins: prev.ins}
+		if len(nd.net.Inserted) == 0 {
+			p.ins = nil
+		} else if nd.insRel != nil {
+			if p.ins, err = e.spec.Build(nd.insRel); err != nil {
+				return nil, 0, err
+			}
+		}
+		out.put(e.spec, p)
+		if !d.Empty() {
 			layered++
 			if s.builds != nil {
 				s.builds.Add(1)
 			}
 		}
 	}
-	return out, layered, full, nil
+	return out, layered, nil
 }
 
 // put stores a pre-built index under its spec (the Derive path; Get

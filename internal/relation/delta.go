@@ -10,7 +10,7 @@ import "sort"
 //
 // Deltas are *effective*: a WithInserted of a tuple already present, or
 // a WithDeleted of a tuple already absent, contributes nothing. The
-// incremental-maintenance pipeline depends on this — a delta index layer
+// incremental-maintenance pipeline depends on this — a net index delta
 // built from Inserted/Deleted must describe exactly the tuples whose
 // membership changed, or its gap certificates would be wrong.
 type Delta struct {
@@ -69,46 +69,61 @@ func (r *Relation) DeltaSince(version uint64) (Delta, bool) {
 	if start < 0 {
 		return Delta{}, false
 	}
-	// Compose the steps oldest-first. state maps a tuple key to its net
-	// membership change relative to the base version: +1 inserted, -1
-	// deleted; cancelling changes drop out. Each step's deltas are
-	// effective relative to its immediate parent, which is what makes
-	// the composition sound: a step can only insert a tuple its parent
-	// lacked (so either base-absent → net insert, or previously deleted
-	// → cancellation) and only delete a tuple its parent had.
-	state := map[string]int{}
-	byKey := map[string]Tuple{}
-	for _, step := range r.lineage[start:] {
-		for _, t := range step.ins {
-			k := tupleKey(t)
-			byKey[k] = t
-			if state[k] < 0 {
-				delete(state, k)
-			} else {
-				state[k] = 1
-			}
-		}
-		for _, t := range step.del {
-			k := tupleKey(t)
-			byKey[k] = t
-			if state[k] > 0 {
-				delete(state, k)
-			} else {
-				state[k] = -1
-			}
-		}
-	}
 	var d Delta
-	for k, s := range state {
-		if s > 0 {
-			d.Inserted = append(d.Inserted, byKey[k])
+	for _, step := range r.lineage[start:] {
+		d = d.Then(Delta{Inserted: step.ins, Deleted: step.del})
+	}
+	return d, true
+}
+
+// Then composes the delta with a later one of the same lineage — e
+// effective against the version d leads to — into the net delta from
+// d's origin to e's target. An insert in e cancels a deletion in d, a
+// delete in e cancels an insertion in d, everything else accumulates.
+// This is the one composition rule of the engine: DeltaSince folds the
+// lineage steps with it, and the index layer folds each write into a
+// base index's net delta with it. Linear in the sizes of both deltas;
+// the result owns fresh slices (the tuples stay shared).
+func (d Delta) Then(e Delta) Delta {
+	return Delta{
+		Inserted: composeHalf(d.Inserted, e.Deleted, e.Inserted, d.Deleted),
+		Deleted:  composeHalf(d.Deleted, e.Inserted, e.Deleted, d.Inserted),
+	}
+}
+
+// composeHalf returns (keep ∖ drop) ∪ (add ∖ skip) in one merge pass
+// over sorted inputs; the two parts are disjoint. Nil when empty.
+func composeHalf(keep, drop, add, skip []Tuple) []Tuple {
+	if len(keep)+len(add) == 0 {
+		return nil
+	}
+	out := make([]Tuple, 0, len(keep)+len(add))
+	for len(keep) > 0 || len(add) > 0 {
+		if len(add) == 0 || len(keep) > 0 && Compare(keep[0], add[0]) < 0 {
+			if !advanceTo(&drop, keep[0]) {
+				out = append(out, keep[0])
+			}
+			keep = keep[1:]
 		} else {
-			d.Deleted = append(d.Deleted, byKey[k])
+			if !advanceTo(&skip, add[0]) {
+				out = append(out, add[0])
+			}
+			add = add[1:]
 		}
 	}
-	sortTuples(d.Inserted)
-	sortTuples(d.Deleted)
-	return d, true
+	if len(out) == 0 {
+		return nil
+	}
+	return out
+}
+
+// advanceTo moves the sorted slice *s past every tuple below t and
+// reports whether t is its next tuple.
+func advanceTo(s *[]Tuple, t Tuple) bool {
+	for len(*s) > 0 && Compare((*s)[0], t) < 0 {
+		*s = (*s)[1:]
+	}
+	return len(*s) > 0 && Compare((*s)[0], t) == 0
 }
 
 // appendLineage records a derivation step on a freshly derived version,

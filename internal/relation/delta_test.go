@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"math/rand"
 	"testing"
 )
 
@@ -195,4 +196,48 @@ func TestDeltaSinceWindow(t *testing.T) {
 	if len(d.Deleted) != 0 {
 		t.Fatalf("append-only chain reported deletions: %+v", d)
 	}
+}
+
+// Random write scripts: every DeltaSince span (composed step by step
+// with Delta.Then) equals the symmetric difference of the two versions.
+func TestDeltaSinceMatchesSetDifference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	randTuple := func() Tuple { return Tuple{uint64(rng.Intn(6)), uint64(rng.Intn(6))} }
+	for trial := 0; trial < 20; trial++ {
+		versions := []*Relation{newRS(t, randTuple(), randTuple(), randTuple())}
+		for step := 0; step < 12; step++ {
+			cur := versions[len(versions)-1]
+			var next *Relation
+			var err error
+			if rng.Intn(2) == 0 {
+				next, err = cur.WithInserted(randTuple(), randTuple())
+			} else {
+				next, err = cur.WithDeleted(randTuple(), randTuple(), randTuple())
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			versions = append(versions, next)
+		}
+		last := versions[len(versions)-1]
+		for _, from := range versions {
+			d, ok := last.DeltaSince(from.Version())
+			if !ok {
+				t.Fatalf("trial %d: span unavailable", trial)
+			}
+			tuplesEqual(t, d.Inserted, minus(last, from))
+			tuplesEqual(t, d.Deleted, minus(from, last))
+		}
+	}
+}
+
+// minus returns the sorted tuples of a that are not in b.
+func minus(a, b *Relation) []Tuple {
+	var out []Tuple
+	for _, t := range a.Tuples() {
+		if !b.Contains(t...) {
+			out = append(out, t)
+		}
+	}
+	return out
 }

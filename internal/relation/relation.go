@@ -10,6 +10,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -300,7 +301,10 @@ func (r *Relation) Reordered(order []int) ([]Tuple, error) {
 		}
 		out[i] = perm
 	}
-	sort.Slice(out, func(i, j int) bool { return Compare(out[i], out[j]) < 0 })
+	// The identity permutation keeps the tuples' sorted schema order.
+	if !slices.IsSorted(order) {
+		slices.SortFunc(out, Compare)
+	}
 	return out, nil
 }
 

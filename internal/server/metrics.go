@@ -57,11 +57,11 @@ func newServerMetrics(s *Server) *serverMetrics {
 	}
 	reg.GaugeFunc("tetris_relations", "Relations registered in the catalog.",
 		cat(func(cs catalog.Stats) float64 { return float64(cs.Relations) }))
-	reg.CounterFunc("tetris_index_builds_total", "Lifetime index constructions, full builds plus delta layers.",
+	reg.CounterFunc("tetris_index_builds_total", "Lifetime index constructions, full builds plus net-delta constructions.",
 		cat(func(cs catalog.Stats) float64 { return float64(cs.IndexBuilds) }))
-	reg.CounterFunc("tetris_delta_index_builds_total", "Index builds that were O(delta) layers over a prior version.",
+	reg.CounterFunc("tetris_delta_index_builds_total", "Index builds that were O(delta) constructions over a flat base.",
 		cat(func(cs catalog.Stats) float64 { return float64(cs.DeltaIndexBuilds) }))
-	reg.CounterFunc("tetris_compactions_total", "Background delta-chain folds.",
+	reg.CounterFunc("tetris_compactions_total", "Registry folds of net index deltas into flat builds.",
 		cat(func(cs catalog.Stats) float64 { return float64(cs.Compactions) }))
 	reg.GaugeFunc("tetris_plans_cached", "Plans currently live in the plan cache.",
 		cat(func(cs catalog.Stats) float64 { return float64(cs.PlansCached) }))

@@ -351,10 +351,10 @@ type serverStats struct {
 	Relations   int   `json:"relations"`
 	IndexBuilds int64 `json:"index_builds"`
 	// DeltaIndexBuilds is the portion of IndexBuilds that were O(k)
-	// delta layers over prior versions (incremental maintenance), not
+	// net-delta constructions over a flat base (incremental maintenance), not
 	// full constructions.
 	DeltaIndexBuilds int64 `json:"delta_index_builds"`
-	// Compactions counts background delta-chain folds.
+	// Compactions counts registry folds of net index deltas.
 	Compactions int64 `json:"compactions,omitempty"`
 	PlansCached int   `json:"plans_cached"`
 	PlanHits    int64 `json:"plan_hits"`

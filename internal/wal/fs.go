@@ -37,8 +37,8 @@ type FS interface {
 	// ReadFile returns the file's full contents; a missing file reports
 	// an error satisfying os.IsNotExist.
 	ReadFile(name string) ([]byte, error)
-	// Truncate cuts the named file to the given size (the torn-tail
-	// repair and the post-checkpoint WAL reset).
+	// Truncate cuts the named file to the given size (recovery's
+	// torn-tail repair).
 	Truncate(name string, size int64) error
 	// Rename atomically replaces newname with oldname (the checkpoint
 	// publish step).
@@ -69,9 +69,27 @@ func (d *DirFS) Dir() string { return d.dir }
 
 func (d *DirFS) path(name string) string { return filepath.Join(d.dir, name) }
 
-// OpenAppend implements FS.
+// OpenAppend implements FS. When the open creates the file, the
+// directory is fsynced too: without it a crash can lose the new
+// directory entry — and with it every acknowledged record synced into
+// the file, such as the fresh wal.log a checkpoint's rotation starts.
 func (d *DirFS) OpenAppend(name string) (File, error) {
-	return os.OpenFile(d.path(name), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(d.path(name), os.O_WRONLY|os.O_APPEND, 0)
+	if err == nil {
+		return f, nil
+	}
+	if !os.IsNotExist(err) {
+		return nil, err
+	}
+	f, err = os.OpenFile(d.path(name), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	if err := d.syncDir(); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return f, nil
 }
 
 // ReadFile implements FS.

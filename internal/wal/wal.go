@@ -222,22 +222,6 @@ func (l *Log) Size() int64 { return l.size }
 // Err returns the poisoning error, if any.
 func (l *Log) Err() error { return l.err }
 
-// Reset truncates the log to empty after a checkpoint made its records
-// redundant. The LSN counter is NOT reset: post-checkpoint records keep
-// ascending, which is what lets recovery filter replayed records
-// against the checkpoint's LSN idempotently.
-func (l *Log) Reset() error {
-	if l.err != nil {
-		return l.err
-	}
-	if err := l.fsys.Truncate(l.name, 0); err != nil {
-		l.err = fmt.Errorf("wal: reset failed, log poisoned: %w", err)
-		return l.err
-	}
-	l.size = 0
-	return nil
-}
-
 // Close closes the underlying file. A poisoned log closes the file but
 // reports the poisoning error.
 func (l *Log) Close() error {

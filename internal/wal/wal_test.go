@@ -3,6 +3,9 @@ package wal
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -254,40 +257,6 @@ func TestTornWriteInjectionPoisonsLog(t *testing.T) {
 	}
 }
 
-// Reset empties the file but keeps the LSN counter ascending, so a
-// post-checkpoint tail filters cleanly against the checkpoint LSN.
-func TestResetKeepsLSNMonotonic(t *testing.T) {
-	fsys := NewMemFS()
-	l, err := OpenLog(fsys, "wal.log", 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fill(t, l, 3)
-	if err := l.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if l.Size() != 0 {
-		t.Fatalf("size after reset = %d", l.Size())
-	}
-	lsn, _, err := l.Append([]byte("tail"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lsn != 4 {
-		t.Fatalf("post-reset LSN %d, want 4", lsn)
-	}
-	if err := l.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	res, err := Replay(fsys, "wal.log")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Records) != 1 || res.Records[0].LSN != 4 {
-		t.Fatalf("post-reset replay %d records first LSN %v", len(res.Records), res.Records)
-	}
-}
-
 // Reopening after a torn-tail repair resumes appending with the next
 // LSN at the repaired size — the restart path.
 func TestReopenAfterRepair(t *testing.T) {
@@ -334,5 +303,75 @@ func TestReopenAfterRepair(t *testing.T) {
 	}
 	if string(res2.Records[2].Payload) != "resumed" {
 		t.Fatalf("final payload %q", res2.Records[2].Payload)
+	}
+}
+
+// TestDirFSRoundTrip drives every FS method of the production DirFS
+// over a real directory: create-or-append, read, truncate, rename over
+// an existing name, remove, list.
+func TestDirFSRoundTrip(t *testing.T) {
+	fsys := mustDirFS(t)
+	write := func(name, data string) {
+		t.Helper()
+		f, err := fsys.OpenAppend(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write([]byte(data)); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func(name string) string {
+		t.Helper()
+		b, err := fsys.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	write("a", "hello")
+	write("a", " world") // reopening appends, never truncates
+	if got := read("a"); got != "hello world" {
+		t.Fatalf("a = %q", got)
+	}
+	if err := fsys.Truncate("a", 5); err != nil {
+		t.Fatal(err)
+	}
+	write("b", "stale")
+	if err := fsys.Rename("a", "b"); err != nil {
+		t.Fatal(err)
+	}
+	if got := read("b"); got != "hello" {
+		t.Fatalf("renamed b = %q, want the replacing contents", got)
+	}
+	if _, err := fsys.ReadFile("a"); !os.IsNotExist(err) {
+		t.Fatalf("renamed-away a still readable: %v", err)
+	}
+	if err := os.Mkdir(filepath.Join(fsys.Dir(), "sub"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	write("c", "x")
+	names, err := fsys.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(names)
+	if strings.Join(names, ",") != "b,c" {
+		t.Fatalf("List = %v, want [b c] (directories skipped)", names)
+	}
+	if err := fsys.Remove("c"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fsys.Remove("c"); !os.IsNotExist(err) {
+		t.Fatalf("second remove: %v, want not-exist", err)
+	}
+	if _, err := fsys.OpenAppend(filepath.Join("missing", "x")); err == nil {
+		t.Fatal("open under a missing directory succeeded")
 	}
 }
