@@ -253,27 +253,17 @@ func (c *Catalog) update(name string, derive func(*relation.Relation) (*relation
 			return 0, err
 		}
 		next.Tuples() // normalize before publishing
-		var set *index.Set
-		if prevSet != nil {
-			if d, ok := next.DeltaSince(cur.Version()); ok {
-				derived, layered, err := prevSet.Derive(next, d)
-				if err != nil {
-					return 0, err
-				}
-				set = derived
-				c.layered.Add(int64(layered))
-			}
+		// Both hold by construction: next is one recorded lineage step
+		// from cur, and every current version has a registry.
+		d, ok := next.DeltaSince(cur.Version())
+		if !ok || prevSet == nil {
+			return 0, fmt.Errorf("catalog: %s: no delta or registry to carry the indexes over", name)
 		}
-		if set == nil {
-			// No prior registry or no reconstructible delta: rebuild the
-			// carried specs in full over the new snapshot.
-			set = index.NewSet(next, &c.builds)
-			if prevSet != nil {
-				if err := set.Ensure(prevSet.SpecList()...); err != nil {
-					return 0, err
-				}
-			}
+		set, layered, err := prevSet.Derive(next, d)
+		if err != nil {
+			return 0, err
 		}
+		c.layered.Add(int64(layered))
 		c.mu.Lock()
 		if c.rels[name] != cur {
 			c.mu.Unlock()
