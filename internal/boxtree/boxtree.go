@@ -9,6 +9,19 @@
 // level, giving Õ(1) superset queries; the boxes contained in a box w form
 // whole subtrees, giving cheap subsumption pruning.
 //
+// # Parent-miss probes
+//
+// The skeleton splits a target only after its superset probe missed, and
+// each half differs from the target in one extra bit on the split
+// dimension. A stored box containing a half with a proper prefix of that
+// component would contain the target, so every superset of the half
+// carries the component exactly: ContainsSupersetPinned walks straight to
+// it instead of trying every prefix at that level. The promise holds for
+// as long as the tree is unchanged since the parent's miss, which Stamp
+// tracks: Insert, Reset and every sweep that deletes a box move it;
+// probes never write it, so a tree shared read-only across goroutines
+// needs no synchronization to be probed.
+//
 // # Arena layout
 //
 // The paper's cost model (Lemma 4.5) charges Õ(1) *word operations* per
@@ -18,7 +31,7 @@
 //
 //   - a node slab ([]node addressed by uint32 indices, with an intrusive
 //     free-list threaded through deleted slots), so trie descent walks
-//     contiguous 24-byte records instead of chasing heap pointers, and
+//     contiguous 20-byte records instead of chasing heap pointers, and
 //     inserts/deletes recycle slots without touching the allocator; and
 //   - an append-only interval slab holding the payload of every stored
 //     box, so Insert copies its argument with a bulk append instead of a
@@ -27,11 +40,11 @@
 // In steady state (slab capacity warmed up) Insert, superset probes,
 // intersection probes and subsume-deletes perform zero heap allocations.
 //
-// Boxes returned by queries (ContainsSuperset, Supersets, ContainedIn,
-// All) alias the interval slab. Because the slab is append-only — deleting
-// a box abandons its payload rather than reusing it — such aliases remain
-// valid for the lifetime of the Tree even across later inserts and
-// deletes. Only Reset invalidates them. Callers must not modify returned
+// Boxes returned by queries (ContainsSuperset, ContainsSupersetPinned,
+// Supersets, All) alias the interval slab. Because the slab is
+// append-only — deleting a box abandons its payload rather than reusing
+// it — such aliases remain valid for the lifetime of the Tree even across
+// later inserts and deletes. Only Reset invalidates them. Callers must not modify returned
 // boxes.
 package boxtree
 
@@ -66,6 +79,7 @@ type Tree struct {
 	free  uint32            // head of the node free-list (nilNode = empty)
 	size  int
 	path  []uint32 // Insert path scratch, reused across calls
+	stamp uint64   // modification stamp; see Stamp
 }
 
 // New returns an empty tree for n-dimensional boxes.
@@ -84,6 +98,12 @@ func (t *Tree) Dims() int { return t.n }
 // Len returns the number of stored boxes.
 func (t *Tree) Len() int { return t.size }
 
+// Stamp returns the tree's modification stamp. It moves whenever a box
+// is inserted or deleted (Insert, Reset, DeleteContainedInBudget sweeps
+// that remove a box) and at no other time: a probe that missed while the
+// stamp read s still misses any box it contained while the stamp reads s.
+func (t *Tree) Stamp() uint64 { return t.stamp }
+
 // Reset empties the tree, retaining the slab capacity for reuse. Boxes
 // previously returned by queries become invalid: their storage will be
 // overwritten by subsequent inserts.
@@ -93,6 +113,7 @@ func (t *Tree) Reset() {
 	t.ivs = t.ivs[:0]
 	t.free = nilNode
 	t.size = 0
+	t.stamp++
 }
 
 // alloc returns a fresh zeroed node slot, recycling the free-list first.
@@ -189,58 +210,84 @@ func (t *Tree) Insert(b dyadic.Box) bool {
 	}
 	t.path = path
 	t.size++
+	t.stamp++
 	return true
 }
 
-// ContainsSuperset returns a stored box containing b, if any. Shorter
-// prefixes (bigger boxes) are preferred, so the first match found tends to
-// be a large cover.
+// ContainsSuperset returns a stored box containing b, if any: the one
+// whose component lengths are lexicographically least, so the match
+// found tends to be a large cover.
 func (t *Tree) ContainsSuperset(b dyadic.Box) (dyadic.Box, bool) {
+	return t.ContainsSupersetPinned(b, -1)
+}
+
+// ContainsSupersetPinned is ContainsSuperset restricted to stored boxes
+// whose dim component equals b[dim]: the lexicographically least of
+// those, or every superset when dim is -1. When b is a split half on dim
+// of a box whose ContainsSuperset missed, and the Stamp has not moved
+// since, every superset of b carries b[dim] exactly and the answer equals
+// ContainsSuperset's (see the package comment).
+func (t *Tree) ContainsSupersetPinned(b dyadic.Box, dim int) (dyadic.Box, bool) {
 	if len(b) != t.n {
 		panic("boxtree: dimension mismatch in ContainsSuperset")
 	}
-	return t.findSuperset(rootNode, 0, b, false)
-}
-
-// ProperSuperset returns a stored box that contains b and is not equal to
-// b, if any.
-func (t *Tree) ProperSuperset(b dyadic.Box) (dyadic.Box, bool) {
-	if len(b) != t.n {
-		panic("boxtree: dimension mismatch in ProperSuperset")
-	}
-	return t.findSuperset(rootNode, 0, b, true)
-}
-
-func (t *Tree) findSuperset(ni uint32, level int, b dyadic.Box, proper bool) (dyadic.Box, bool) {
-	if ni == nilNode || t.nodes[ni].count == 0 {
+	if t.nodes[rootNode].count == 0 {
 		return nil, false
 	}
+	return t.findSuperset(rootNode, 0, b, dim)
+}
+
+// findSuperset searches the level trie rooted at ni for a stored box
+// containing b, walking the prefixes of b[level] shortest first and
+// probing the next level at each; at level pin only the full component
+// is tried. The first box found is therefore the one whose component
+// lengths are lexicographically least.
+func (t *Tree) findSuperset(ni uint32, level int, b dyadic.Box, pin int) (dyadic.Box, bool) {
+	nodes := t.nodes
 	iv := b[level]
-	// Walk the prefixes of b's component at this level, from λ down to the
-	// full component, probing the next level at each storage point.
-	cur := ni
-	for depth := 0; ; depth++ {
-		nd := t.nodes[cur]
-		if level == t.n-1 {
+	ln := int(iv.Len)
+	nd := &nodes[ni]
+	depth := 0
+	if level == pin {
+		for ; depth < ln; depth++ {
+			c := nd.children[iv.Bits>>uint(ln-1-depth)&1]
+			if c == nilNode {
+				return nil, false
+			}
+			nd = &nodes[c]
+		}
+	}
+	if level == t.n-1 {
+		for {
 			if nd.box != 0 {
-				sb := t.boxAt(nd.box)
-				if !proper || !sb.Equal(b) {
-					return sb, true
-				}
+				return t.boxAt(nd.box), true
 			}
-		} else if nd.next != nilNode {
-			if found, ok := t.findSuperset(nd.next, level+1, b, proper); ok {
-				return found, ok
+			if depth == ln {
+				return nil, false
+			}
+			c := nd.children[iv.Bits>>uint(ln-1-depth)&1]
+			if c == nilNode {
+				return nil, false
+			}
+			nd = &nodes[c]
+			depth++
+		}
+	}
+	for {
+		if nx := nd.next; nx != nilNode && nodes[nx].count != 0 {
+			if found, ok := t.findSuperset(nx, level+1, b, pin); ok {
+				return found, true
 			}
 		}
-		if depth == int(iv.Len) {
+		if depth == ln {
 			return nil, false
 		}
-		bit := iv.Bits >> uint(int(iv.Len)-1-depth) & 1
-		cur = nd.children[bit]
-		if cur == nilNode {
+		c := nd.children[iv.Bits>>uint(ln-1-depth)&1]
+		if c == nilNode {
 			return nil, false
 		}
+		nd = &nodes[c]
+		depth++
 	}
 }
 
@@ -345,54 +392,6 @@ func (t *Tree) intersectsBelow(ni uint32, level int, b dyadic.Box) bool {
 		t.intersectsBelow(nd.children[1], level, b)
 }
 
-// ContainedIn returns all stored boxes contained in w.
-func (t *Tree) ContainedIn(w dyadic.Box) []dyadic.Box {
-	return t.ContainedInAppend(nil, w)
-}
-
-// ContainedInAppend appends all stored boxes contained in w to out and
-// returns the extended slice. The appended boxes alias the slab.
-func (t *Tree) ContainedInAppend(out []dyadic.Box, w dyadic.Box) []dyadic.Box {
-	if len(w) != t.n {
-		panic("boxtree: dimension mismatch in ContainedIn")
-	}
-	return t.collectContained(rootNode, 0, w, out)
-}
-
-func (t *Tree) collectContained(ni uint32, level int, w dyadic.Box, out []dyadic.Box) []dyadic.Box {
-	if ni == nilNode || t.nodes[ni].count == 0 {
-		return out
-	}
-	// Navigate to the node spelling w[level]; everything below it has
-	// w[level] as a prefix.
-	iv := w[level]
-	cur := ni
-	for depth := 0; depth < int(iv.Len); depth++ {
-		bit := iv.Bits >> uint(int(iv.Len)-1-depth) & 1
-		cur = t.nodes[cur].children[bit]
-		if cur == nilNode {
-			return out
-		}
-	}
-	return t.collectBelow(cur, level, w, out)
-}
-
-func (t *Tree) collectBelow(ni uint32, level int, w dyadic.Box, out []dyadic.Box) []dyadic.Box {
-	if ni == nilNode || t.nodes[ni].count == 0 {
-		return out
-	}
-	nd := t.nodes[ni]
-	if level == t.n-1 {
-		if nd.box != 0 {
-			out = append(out, t.boxAt(nd.box))
-		}
-	} else if nd.next != nilNode {
-		out = t.collectContained(nd.next, level+1, w, out)
-	}
-	out = t.collectBelow(nd.children[0], level, w, out)
-	return t.collectBelow(nd.children[1], level, w, out)
-}
-
 // DeleteContainedIn removes every stored box that is contained in w and
 // returns the number removed. Subtrees emptied by the removal are pruned
 // and their node slots recycled.
@@ -415,7 +414,10 @@ func (t *Tree) DeleteContainedInBudget(w dyadic.Box, budget int) int {
 		budget = int(^uint(0) >> 1)
 	}
 	removed := t.deleteContained(rootNode, 0, w, &budget)
-	t.size -= removed
+	if removed > 0 {
+		t.size -= removed
+		t.stamp++
+	}
 	return removed
 }
 
@@ -494,6 +496,14 @@ func (t *Tree) InsertSubsuming(b dyadic.Box) bool {
 	if _, ok := t.ContainsSuperset(b); ok {
 		return false
 	}
+	return t.InsertUncovered(b)
+}
+
+// InsertUncovered is InsertSubsuming for a box the caller knows no stored
+// box contains — say, one containing a box whose probe missed while the
+// Stamp read what it reads now. It skips the superset probe, which could
+// not hit, and keeps the bounded subsume sweep.
+func (t *Tree) InsertUncovered(b dyadic.Box) bool {
 	t.DeleteContainedInBudget(b, subsumeBudget)
 	return t.Insert(b)
 }

@@ -83,37 +83,11 @@ func TestSupersetQueries(t *testing.T) {
 	}
 }
 
-func TestProperSuperset(t *testing.T) {
-	tr := New(2)
-	tr.Insert(mustBox("01,1"))
-	if _, ok := tr.ProperSuperset(mustBox("01,1")); ok {
-		t.Error("ProperSuperset returned the box itself")
-	}
-	if _, ok := tr.ContainsSuperset(mustBox("01,1")); !ok {
-		t.Error("ContainsSuperset should return the box itself")
-	}
-	tr.Insert(mustBox("01,λ"))
-	got, ok := tr.ProperSuperset(mustBox("01,1"))
-	if !ok || !got.Equal(mustBox("01,λ")) {
-		t.Errorf("ProperSuperset = %v, %v", got, ok)
-	}
-}
-
 func TestContainedInAndDelete(t *testing.T) {
 	tr := New(2)
 	all := []string{"λ,0", "00,λ", "00,01", "01,10", "0,1", "1,λ"}
 	for _, s := range all {
 		tr.Insert(mustBox(s))
-	}
-	got := tr.ContainedIn(mustBox("0,λ"))
-	wantSet := map[string]bool{"⟨00,λ⟩": true, "⟨00,01⟩": true, "⟨01,10⟩": true, "⟨0,1⟩": true}
-	if len(got) != len(wantSet) {
-		t.Fatalf("ContainedIn = %v", got)
-	}
-	for _, b := range got {
-		if !wantSet[b.String()] {
-			t.Errorf("unexpected contained box %s", b)
-		}
 	}
 	removed := tr.DeleteContainedIn(mustBox("0,λ"))
 	if removed != 4 {
@@ -255,26 +229,16 @@ func TestRandomAgainstBruteForce(t *testing.T) {
 			if got := tr.IntersectsAny(b); got != want {
 				t.Fatalf("step %d: IntersectsAny(%s) = %v, want %v", step, b, got, want)
 			}
-		case 7, 8: // contained-in queries
-			var want []string
+		case 7, 8: // the superset returned is the lexicographically least
+			var want dyadic.Box
 			for _, x := range ref {
-				if b.Contains(x) {
-					want = append(want, x.String())
+				if x.Contains(b) && (want == nil || lengthsLess(x, want)) {
+					want = x
 				}
 			}
-			var got []string
-			for _, x := range tr.ContainedIn(b) {
-				got = append(got, x.String())
-			}
-			sort.Strings(want)
-			sort.Strings(got)
-			if len(got) != len(want) {
-				t.Fatalf("step %d: ContainedIn(%s) = %v, want %v", step, b, got, want)
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("step %d: ContainedIn mismatch", step)
-				}
+			got, ok := tr.ContainsSuperset(b)
+			if ok != (want != nil) || (ok && !got.Equal(want)) {
+				t.Fatalf("step %d: ContainsSuperset(%s) = %v, %v; want %v", step, b, got, ok, want)
 			}
 		case 9: // delete contained
 			removed := tr.DeleteContainedIn(b)
@@ -298,13 +262,24 @@ func TestRandomAgainstBruteForce(t *testing.T) {
 	}
 }
 
+// lengthsLess reports whether a's component lengths are lexicographically
+// less than b's.
+func lengthsLess(a, b dyadic.Box) bool {
+	for i := range a {
+		if a[i].Len != b[i].Len {
+			return a[i].Len < b[i].Len
+		}
+	}
+	return false
+}
+
 func TestDimensionMismatchPanics(t *testing.T) {
 	tr := New(2)
 	for name, f := range map[string]func(){
 		"Insert":            func() { tr.Insert(mustBox("λ,λ,λ")) },
 		"ContainsSuperset":  func() { tr.ContainsSuperset(mustBox("λ")) },
 		"Supersets":         func() { tr.Supersets(mustBox("λ")) },
-		"ContainedIn":       func() { tr.ContainedIn(mustBox("λ")) },
+		"Pinned":            func() { tr.ContainsSupersetPinned(mustBox("λ"), 0) },
 		"DeleteContainedIn": func() { tr.DeleteContainedIn(mustBox("λ")) },
 	} {
 		func() {

@@ -119,7 +119,7 @@ func (s *skeleton) addOutput(b dyadic.Box) {
 // so the arena does not grow across invocations.
 func (s *skeleton) root(b dyadic.Box) (bool, dyadic.Box, error) {
 	s.scratch = s.scratch[:0]
-	return s.run(b)
+	return s.run(b, -1, 0)
 }
 
 // settle compacts the witness into the frame's watermark slot and
@@ -136,7 +136,16 @@ func (s *skeleton) settle(mark int, w dyadic.Box) dyadic.Box {
 // run is TetrisSkeleton (Algorithm 1). Given a target box b it returns
 // (true, w) where w ⊇ b is covered by the union of the knowledge base, or
 // (false, p) where p ∈ b is a unit box not covered by any stored box.
-func (s *skeleton) run(b dyadic.Box) (bool, dyadic.Box, error) {
+//
+// pdim is the dimension the caller split on to make b, or -1 for a root
+// target; stamp is the knowledge base's Stamp when the caller's probes
+// missed. The caller split only after both its probes missed, so a stored
+// box containing b with a proper prefix of b[pdim] would have contained
+// the caller's target: every superset of b carries b[pdim] exactly, and
+// the probes pin that component (boxtree.ContainsSupersetPinned). That
+// holds in the read-only base at every non-root target, and in kb while
+// its stamp has not moved since the caller's miss.
+func (s *skeleton) run(b dyadic.Box, pdim int, stamp uint64) (bool, dyadic.Box, error) {
 	s.stats.SkeletonCalls++
 	// Cooperative cancellation for recursions whose outer loop has no
 	// natural check point (Covers and the counting variant run one giant
@@ -152,12 +161,17 @@ func (s *skeleton) run(b dyadic.Box) (bool, dyadic.Box, error) {
 	// Line 1: a stored box covering b is a ready-made witness. The
 	// private kb (learned resolvents, outputs, lazily loaded gaps) is
 	// probed first, then the shared read-only base if the shard has one.
-	if a, ok := s.kb.ContainsSuperset(b); ok {
+	missStamp := s.kb.Stamp()
+	kbPin := pdim
+	if missStamp != stamp {
+		kbPin = -1
+	}
+	if a, ok := s.kb.ContainsSupersetPinned(b, kbPin); ok {
 		s.stats.CoverHits++
 		return true, a, nil
 	}
 	if s.base != nil {
-		if a, ok := s.base.ContainsSuperset(b); ok {
+		if a, ok := s.base.ContainsSupersetPinned(b, pdim); ok {
 			s.stats.CoverHits++
 			return true, a, nil
 		}
@@ -186,7 +200,7 @@ func (s *skeleton) run(b dyadic.Box) (bool, dyadic.Box, error) {
 	b2 := dyadic.Box(s.scratch[mark+s.n : mark+2*s.n])
 	b1[dim] = b[dim].Child(0)
 	b2[dim] = b[dim].Child(1)
-	v1, w1, err := s.run(b1)
+	v1, w1, err := s.run(b1, dim, missStamp)
 	if err != nil {
 		return false, nil, err
 	}
@@ -196,7 +210,7 @@ func (s *skeleton) run(b dyadic.Box) (bool, dyadic.Box, error) {
 	if w1.Contains(b) {
 		return true, s.settle(mark, w1), nil
 	}
-	v2, w2, err := s.run(b2)
+	v2, w2, err := s.run(b2, dim, missStamp)
 	if err != nil {
 		return false, nil, err
 	}
@@ -229,9 +243,15 @@ func (s *skeleton) run(b dyadic.Box) (bool, dyadic.Box, error) {
 			s.stats.GapResolutions++
 		}
 	}
-	// Line 19: cache the resolvent (skipped in Tree Ordered mode).
+	// Line 19: cache the resolvent (skipped in Tree Ordered mode). w
+	// contains b, so while kb is unchanged since b missed, no stored box
+	// contains w either and the insert can skip its superset probe.
 	if !s.noCache {
-		s.add(w)
+		if s.subsume && s.kb.Stamp() == missStamp {
+			s.kb.InsertUncovered(w)
+		} else {
+			s.add(w)
+		}
 	}
 	return true, s.settle(mark, w), nil
 }
